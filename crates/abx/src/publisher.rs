@@ -20,14 +20,14 @@
 //! the flow can later derive the *expected* post-flip model (base +
 //! winning rung) and check served responses against it exactly.
 
-use pelican::platform::{measure_thread, ComputeTier};
+use pelican::platform::{measure, ComputeTier};
 use pelican::DefenseKind;
+use pelican_live::fnv64;
 use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::ShardedRegistry;
 use pelican_store::StoreError;
 use pelican_train::{FleetTrainer, TrainJob, TrainerPool};
 
-use crate::report::fnv64;
 use crate::splitter::{Arm, CohortSplit};
 
 /// One user's experiment publication state.
@@ -87,7 +87,7 @@ pub fn publish_arms(
     let pool = TrainerPool::new(trainer.config().workers);
     let candidates: Vec<(SequenceModel, u64)> = pool.run(jobs, |_, job| {
         let ((model, _fit), usage) =
-            measure_thread(ComputeTier::Device, || trainer.train_candidate(&general_envelope, job));
+            measure(ComputeTier::Device, || trainer.train_candidate(&general_envelope, job));
         (model, usage.simulated.as_micros() as u64)
     });
 

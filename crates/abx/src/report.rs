@@ -7,20 +7,10 @@ use pelican_train::StalenessWindow;
 use crate::splitter::{Arm, CohortSplit};
 use crate::verdict::{ArmStats, Verdict};
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice — the same cheap stable hash the live loop's
-/// report uses for envelope identity.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
+/// Extends an FNV-1a hash (see [`pelican_live::fnv64`]) with the
+/// little-endian bytes of `value`.
 fn fold(h: &mut u64, value: u64) {
     for b in value.to_le_bytes() {
         *h ^= b as u64;
@@ -229,6 +219,7 @@ impl AbxOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pelican_live::fnv64;
 
     #[test]
     fn fnv_matches_the_reference_vectors() {
@@ -239,10 +230,10 @@ mod tests {
 
     #[test]
     fn fold_is_order_sensitive() {
-        let mut a = FNV_BASIS;
+        let mut a = fnv64(b"");
         fold(&mut a, 1);
         fold(&mut a, 2);
-        let mut b = FNV_BASIS;
+        let mut b = fnv64(b"");
         fold(&mut b, 2);
         fold(&mut b, 1);
         assert_ne!(a, b);

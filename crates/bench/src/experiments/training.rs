@@ -17,7 +17,7 @@ use pelican::PersonalizationConfig;
 use pelican_mobility::SpatialLevel;
 use pelican_nn::{ModelEnvelope, TrainConfig};
 use pelican_serve::{RegistryConfig, ShardedRegistry};
-use pelican_tensor::{thread_batched_flops_now, ThreadFlopGuard};
+use pelican_tensor::{thread_batched_flops_now, FlopGuard};
 use pelican_train::{
     cohort_jobs, form_cohorts, AuditConfig, FleetTrainer, PipelineConfig, TrainJob, TrainReport,
 };
@@ -256,7 +256,7 @@ pub fn run_batched(config: &RunConfig) -> BatchedRun {
             // counters capture it exactly even with concurrent test
             // threads. Envelope encoding happens after the clock stops —
             // both dispatch modes would pay it equally.
-            let guard = ThreadFlopGuard::start();
+            let guard = FlopGuard::start();
             let fused_before = thread_batched_flops_now();
             let start = Instant::now();
             let mut models = Vec::with_capacity(jobs.len());

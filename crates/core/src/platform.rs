@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use pelican_nn::ModelEnvelope;
 use pelican_sim::LinkProfile;
-use pelican_tensor::{FlopGuard, ThreadFlopGuard};
+use pelican_tensor::FlopGuard;
 
 /// Where a computation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,32 +92,16 @@ impl ResourceUsage {
     }
 }
 
-/// Runs `f`, attributing its floating-point work to `tier`.
+/// Runs `f`, attributing *this thread's* floating-point work to `tier`.
 ///
 /// Returns the closure's output along with the resources consumed.
-/// Measurement nests safely (the FLOP counter is a global monotone
-/// counter), but concurrent measurements attribute interleaved work to
-/// both scopes — run experiments sequentially when exact cycle counts
-/// matter.
+/// Measurements nest, and concurrent measurements on other threads do not
+/// interleave: each thread counts only its own FLOPs, so a worker pool can
+/// measure per-job costs that are bit-identical for any pool width and
+/// whatever else the process is doing. The closure must not spawn threads
+/// of its own — work done elsewhere is not attributed.
 pub fn measure<T>(tier: ComputeTier, f: impl FnOnce() -> T) -> (T, ResourceUsage) {
     let guard = FlopGuard::start();
-    let wall = std::time::Instant::now();
-    let out = f();
-    let host_elapsed = wall.elapsed();
-    let flops = guard.stop();
-    (out, usage_of(tier, flops, host_elapsed))
-}
-
-/// Runs `f`, attributing only *this thread's* floating-point work to
-/// `tier`.
-///
-/// Unlike [`measure`], concurrent measurements on other threads do not
-/// interleave: each thread mirrors its own FLOP contributions, so a
-/// worker pool can measure per-job costs that are bit-identical for any
-/// pool width. The closure must not spawn threads of its own — work done
-/// elsewhere is not attributed.
-pub fn measure_thread<T>(tier: ComputeTier, f: impl FnOnce() -> T) -> (T, ResourceUsage) {
-    let guard = ThreadFlopGuard::start();
     let wall = std::time::Instant::now();
     let out = f();
     let host_elapsed = wall.elapsed();
@@ -246,19 +230,19 @@ mod tests {
     }
 
     #[test]
-    fn measure_thread_is_immune_to_concurrent_work() {
+    fn measure_is_immune_to_concurrent_work() {
         let a = Matrix::zeros(16, 16);
         let stop = std::sync::atomic::AtomicBool::new(false);
         let ((), usage) = std::thread::scope(|scope| {
-            // A noisy neighbour hammers the global FLOP counter the whole
-            // time; the per-thread measurement must not see any of it.
+            // A noisy neighbour does arithmetic the whole time; the
+            // measurement must not see any of it.
             scope.spawn(|| {
                 let b = Matrix::zeros(8, 8);
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let _ = b.matmul(&b);
                 }
             });
-            let out = measure_thread(ComputeTier::Device, || {
+            let out = measure(ComputeTier::Device, || {
                 let _ = a.matmul(&a);
             });
             stop.store(true, std::sync::atomic::Ordering::Relaxed);

@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use pelican::platform::{measure_thread, ComputeTier};
+use pelican::platform::{measure, ComputeTier};
 use pelican_mobility::{train_test_split, FeatureSpace, MobilityDataset, Session, SessionCursor};
 use pelican_nn::{ModelCodecError, ModelEnvelope, Sample, SequenceModel};
 use pelican_serve::{
@@ -467,10 +467,9 @@ impl LiveFlow<'_> {
         let general_envelope = &self.general_envelope;
         let pool = TrainerPool::new(trainer.config().workers);
         let audit_one = |job: &TrainJob, candidate: SequenceModel, train_us: u64| {
-            let ((published, gate, cache), audit_usage) =
-                measure_thread(ComputeTier::Device, || {
-                    trainer.gate().admit_with_cache(candidate, space, &job.subject)
-                });
+            let ((published, gate, cache), audit_usage) = measure(ComputeTier::Device, || {
+                trainer.gate().admit_with_cache(candidate, space, &job.subject)
+            });
             RetrainResult {
                 envelope: ModelEnvelope::encode(&published),
                 published_model: published,
@@ -508,9 +507,8 @@ impl LiveFlow<'_> {
             .collect()
         } else {
             pool.run(&jobs, |_, job| {
-                let ((candidate, _fit), train_usage) = measure_thread(ComputeTier::Device, || {
-                    trainer.train_candidate(general_envelope, job)
-                });
+                let ((candidate, _fit), train_usage) =
+                    measure(ComputeTier::Device, || trainer.train_candidate(general_envelope, job));
                 audit_one(job, candidate, train_usage.simulated.as_micros() as u64)
             })
         };

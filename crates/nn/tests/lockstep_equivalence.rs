@@ -18,7 +18,7 @@ use rand::{RngExt as _, SeedableRng};
 use pelican_nn::{
     fit, fit_lockstep, FitReport, LockstepJob, ModelEnvelope, Sample, SequenceModel, TrainConfig,
 };
-use pelican_tensor::ThreadFlopGuard;
+use pelican_tensor::FlopGuard;
 
 const INPUT_DIM: usize = 5;
 const CLASSES: usize = 5;
@@ -60,7 +60,7 @@ fn assert_cohort_equivalent(b: usize, prepare: impl Fn(u64) -> SequenceModel) {
         users.iter().map(|&u| samples(u, 11 + (u as usize % 3) * 5)).collect();
 
     let mut seq_models: Vec<SequenceModel> = users.iter().map(|&u| prepare(u)).collect();
-    let seq_guard = ThreadFlopGuard::start();
+    let seq_guard = FlopGuard::start();
     let seq_reports: Vec<FitReport> = seq_models
         .iter_mut()
         .zip(&datasets)
@@ -76,7 +76,7 @@ fn assert_cohort_equivalent(b: usize, prepare: impl Fn(u64) -> SequenceModel) {
         .zip(&users)
         .map(|((model, data), &u)| LockstepJob { model, samples: data, config: user_config(u) })
         .collect();
-    let lock_guard = ThreadFlopGuard::start();
+    let lock_guard = FlopGuard::start();
     let outcomes = fit_lockstep(&mut jobs);
     let lock_flops = lock_guard.stop();
 

@@ -2,12 +2,16 @@
 //! must be deterministic, lossless, and must serve unenrolled users a
 //! valid general-model answer instead of an error.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use pelican::platform::ComputeTier;
 use pelican::workbench::Scenario;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_serve::{
     run_fleet, CloudNetwork, FleetConfig, RegistryConfig, SchedulerConfig, TrafficConfig,
 };
+use pelican_tensor::Matrix;
 
 fn scenario() -> Scenario {
     Scenario::builder(Scale::Tiny, SpatialLevel::Building).seed(19).personal_users(3).build()
@@ -23,6 +27,25 @@ fn config(requests: usize) -> FleetConfig {
         queries_per_user: 8,
         ..FleetConfig::default()
     }
+}
+
+/// Runs `f` while a helper thread spins `Matrix::matmul` until `f`
+/// returns.
+fn with_noisy_neighbour<T>(f: impl FnOnce() -> T) -> T {
+    let stop = Arc::new(AtomicBool::new(false));
+    let neighbour = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let m = Matrix::zeros(32, 32);
+            while !stop.load(Ordering::Relaxed) {
+                let _ = m.matmul(&m);
+            }
+        })
+    };
+    let out = f();
+    stop.store(true, Ordering::Relaxed);
+    neighbour.join().expect("neighbour thread");
+    out
 }
 
 #[test]
@@ -104,4 +127,21 @@ fn cloud_deployment_pays_rtt_deterministically() {
     // A different fleet seed deals different links and changes the trace.
     let c = run_fleet(&s, &cloud(12)).expect("fleet runs");
     assert_ne!(net_a.fingerprint, c.network.expect("cloud path").fingerprint);
+}
+
+#[test]
+fn cloud_fingerprint_ignores_concurrent_arithmetic() {
+    // Batch service times are priced from measured FLOPs; arithmetic on
+    // another thread of the same process must not move them.
+    let s = scenario();
+    let cfg = FleetConfig {
+        cloud: Some(CloudNetwork { seed: 11, ..CloudNetwork::default() }),
+        ..config(400)
+    };
+    let quiet = run_fleet(&s, &cfg).expect("fleet runs");
+    let noisy = with_noisy_neighbour(|| run_fleet(&s, &cfg)).expect("fleet runs");
+    assert_eq!(
+        quiet.network.expect("cloud path").fingerprint,
+        noisy.network.expect("cloud path").fingerprint
+    );
 }

@@ -1,4 +1,4 @@
-//! Process-wide floating-point-operation accounting.
+//! Per-thread floating-point-operation accounting.
 //!
 //! The Pelican paper compares the *compute cost* of cloud-side general-model
 //! training against device-side transfer-learning personalization
@@ -7,41 +7,37 @@
 //! this crate performs and letting the platform layer convert counts into
 //! simulated cycles.
 //!
-//! The counter is a relaxed atomic: exact interleaving across threads does
-//! not matter, only the total.
+//! Each thread counts only its own work, in thread-local cells. A
+//! measurement is therefore exact whatever other threads compute at the
+//! same time, which is what keeps the simulated durations built from it
+//! deterministic. Work a measured closure hands to another thread is not
+//! attributed to it; totals over a pool are built by summing the per-job
+//! measurements.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static FLOPS: AtomicU64 = AtomicU64::new(0);
-
-/// FLOPs performed by *fused batched* kernels (a subset of [`FLOPS`]).
-///
-/// Batched kernels record into both counters, so `batched / total` is the
-/// fraction of work that went through a fused path — the number the
-/// `train-report` experiment uses to show how much of an epoch the
-/// lockstep path actually GEMM-ified. Equality of the *total* counter
-/// between a batched and a sequential run is the FLOP-parity contract.
-static BATCHED_FLOPS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Per-thread mirror of the global counter, so one thread's work can
-    /// be measured exactly even while other threads record concurrently.
+    /// FLOPs recorded by this thread since it started.
     static THREAD_FLOPS: Cell<u64> = const { Cell::new(0) };
 
-    /// Per-thread mirror of [`BATCHED_FLOPS`].
+    /// FLOPs recorded by *fused batched* kernels on this thread (a subset
+    /// of [`THREAD_FLOPS`]).
+    ///
+    /// Batched kernels record into both counters, so `batched / total` is
+    /// the fraction of work that went through a fused path — the number
+    /// the `train-report` experiment uses to show how much of an epoch the
+    /// lockstep path actually GEMM-ified. Equality of the *total* counter
+    /// between a batched and a sequential run is the FLOP-parity contract.
     static THREAD_BATCHED_FLOPS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Adds `n` floating-point operations to the process-wide counter (and
-/// this thread's mirror).
+/// Adds `n` floating-point operations to this thread's counter.
 ///
 /// Kernels in this crate call this internally; external code only needs it
 /// when implementing custom kernels that should participate in overhead
 /// accounting.
 #[inline]
 pub fn record_flops(n: u64) {
-    FLOPS.fetch_add(n, Ordering::Relaxed);
     THREAD_FLOPS.with(|c| c.set(c.get().wrapping_add(n)));
 }
 
@@ -51,25 +47,16 @@ pub fn record_flops(n: u64) {
 /// Batched kernels call [`record_flops`] with the same count a sequence of
 /// their scalar equivalents would have recorded (the FLOP-parity
 /// contract), then call this with that count. The tag is therefore always
-/// a subset of the total: `batched_flops_now() <= flops_now()`.
+/// a subset of the total: `thread_batched_flops_now() <= thread_flops_now()`.
 #[inline]
 pub fn note_batched_flops(n: u64) {
-    BATCHED_FLOPS.fetch_add(n, Ordering::Relaxed);
     THREAD_BATCHED_FLOPS.with(|c| c.set(c.get().wrapping_add(n)));
 }
 
-/// Returns the total number of FLOPs recorded since process start (or the
-/// last [`reset_flops`]).
+/// FLOPs recorded by *this thread* since it started.
 #[inline]
-pub fn flops_now() -> u64 {
-    FLOPS.load(Ordering::Relaxed)
-}
-
-/// Returns the FLOPs recorded by fused batched kernels since process
-/// start (or the last [`reset_flops`]).
-#[inline]
-pub fn batched_flops_now() -> u64 {
-    BATCHED_FLOPS.load(Ordering::Relaxed)
+pub fn thread_flops_now() -> u64 {
+    THREAD_FLOPS.with(Cell::get)
 }
 
 /// FLOPs recorded by fused batched kernels on *this thread* since it
@@ -79,16 +66,11 @@ pub fn thread_batched_flops_now() -> u64 {
     THREAD_BATCHED_FLOPS.with(Cell::get)
 }
 
-/// Resets the process-wide FLOP counters (total and batched) to zero.
+/// Measures the FLOPs this thread performs between construction and
+/// [`FlopGuard::stop`].
 ///
-/// Prefer [`FlopGuard`] for scoped measurement; resetting a global counter
-/// from concurrent experiments will interleave their counts.
-pub fn reset_flops() {
-    FLOPS.store(0, Ordering::Relaxed);
-    BATCHED_FLOPS.store(0, Ordering::Relaxed);
-}
-
-/// Measures the FLOPs performed between construction and [`FlopGuard::stop`].
+/// The measured work must stay on one thread; work it spawns elsewhere is
+/// not attributed.
 ///
 /// # Example
 ///
@@ -107,38 +89,7 @@ pub struct FlopGuard {
 }
 
 impl FlopGuard {
-    /// Begins a scoped measurement at the current counter value.
-    pub fn start() -> Self {
-        Self { start: flops_now() }
-    }
-
-    /// Ends the measurement and returns the FLOPs recorded in between.
-    pub fn stop(self) -> u64 {
-        flops_now().saturating_sub(self.start)
-    }
-}
-
-/// FLOPs recorded by *this thread* since it started.
-#[inline]
-pub fn thread_flops_now() -> u64 {
-    THREAD_FLOPS.with(Cell::get)
-}
-
-/// Measures the FLOPs this thread performs between construction and
-/// [`ThreadFlopGuard::stop`].
-///
-/// Unlike [`FlopGuard`], the measurement is exact even while other
-/// threads record concurrently — each thread mirrors its own
-/// contributions — which is what makes per-job cost accounting
-/// deterministic across trainer-pool widths. The measured closure must
-/// stay on one thread; work it spawns elsewhere is not attributed.
-#[derive(Debug)]
-pub struct ThreadFlopGuard {
-    start: u64,
-}
-
-impl ThreadFlopGuard {
-    /// Begins a scoped per-thread measurement.
+    /// Begins a scoped measurement at this thread's current count.
     pub fn start() -> Self {
         Self { start: thread_flops_now() }
     }
@@ -161,16 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn counter_accumulates() {
-        let before = flops_now();
-        record_flops(7);
-        record_flops(3);
-        assert_eq!(flops_now() - before, 10);
-    }
-
-    #[test]
     fn batched_tag_is_a_subset_of_total() {
-        let total = ThreadFlopGuard::start();
+        let total = FlopGuard::start();
         let batched_before = thread_batched_flops_now();
         record_flops(40);
         note_batched_flops(40); // a fused kernel tags what it recorded
@@ -182,10 +125,10 @@ mod tests {
 
     #[test]
     fn thread_guard_ignores_other_threads() {
-        let guard = ThreadFlopGuard::start();
+        let guard = FlopGuard::start();
         record_flops(11);
-        // A concurrent thread records into the global counter (and its
-        // own mirror), but must not perturb this thread's measurement.
+        // A concurrent thread records into its own counter and must not
+        // perturb this thread's measurement.
         std::thread::spawn(|| record_flops(1_000)).join().unwrap();
         record_flops(4);
         assert_eq!(guard.stop(), 15);

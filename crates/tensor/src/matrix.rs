@@ -517,14 +517,14 @@ mod tests {
             rows.iter().zip(&cols).map(|(r, c)| (r.as_slice(), c.as_slice())).collect();
 
         let mut seq = Matrix::filled(4, 3, 0.25);
-        let seq_guard = crate::flops::ThreadFlopGuard::start();
+        let seq_guard = crate::flops::FlopGuard::start();
         for &(r, c) in &updates {
             seq.rank_one_update(0.7, r, c);
         }
         let seq_flops = seq_guard.stop();
 
         let mut fused = Matrix::filled(4, 3, 0.25);
-        let fused_guard = crate::flops::ThreadFlopGuard::start();
+        let fused_guard = crate::flops::FlopGuard::start();
         let batched_before = crate::flops::thread_batched_flops_now();
         fused.rank_updates(0.7, &updates);
         let fused_flops = fused_guard.stop();

@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use pelican::platform::{measure_thread, usage_of, ComputeTier, NetworkLink, ResourceUsage};
+use pelican::platform::{measure, usage_of, ComputeTier, NetworkLink, ResourceUsage};
 use pelican::{
     prepare, DefenseKind, DevicePersonalizer, PersonalizationConfig, PersonalizationMethod,
 };
@@ -28,7 +28,7 @@ use pelican_nn::{
     fit_lockstep, FitReport, LockstepJob, LockstepOutcome, ModelEnvelope, SequenceModel,
 };
 use pelican_serve::ShardedRegistry;
-use pelican_tensor::{thread_flops_now, FlopGuard};
+use pelican_tensor::thread_flops_now;
 
 use crate::audit::{AuditConfig, AuditGate, GateOutcome};
 use crate::job::{JobKind, TrainJob};
@@ -84,8 +84,8 @@ struct Candidate {
     fit: FitReport,
     warm: bool,
     started: Instant,
-    train_simulated: Duration,
-    audit_simulated: Duration,
+    train_usage: ResourceUsage,
+    audit_usage: ResourceUsage,
 }
 
 /// The fleet-training pipeline.
@@ -198,7 +198,7 @@ impl FleetTrainer {
         // Phase 1 — per-user model construction, in job order, with the
         // exact seeds `personalizer_for` derives. Construction happens
         // inside the measured window to mirror the sequential
-        // `measure_thread` around `train_candidate`.
+        // `measure` around `train_candidate`.
         let mut preps: Vec<Prep> = Vec::with_capacity(jobs.len());
         for job in jobs {
             let mut cfg = self.config.personalization.clone();
@@ -278,10 +278,13 @@ impl FleetTrainer {
         registry: &ShardedRegistry,
     ) -> TrainReport {
         let wall = Instant::now();
-        let flop_guard = FlopGuard::start();
         let general_envelope = ModelEnvelope::encode(general);
 
         let mut outcomes: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
+        // Each worker measures its jobs' FLOPs exactly on its own thread;
+        // the run total is their sum, so it does not depend on the pool
+        // width or on anything else the process computes meanwhile.
+        let mut flops = 0;
         let pool = TrainerPool::new(self.config.workers);
         // Publisher side, on the calling thread: hot-swap each audited
         // envelope the moment it arrives, concurrently with the
@@ -295,9 +298,10 @@ impl FleetTrainer {
                 fit,
                 warm,
                 started,
-                train_simulated,
-                audit_simulated,
+                train_usage,
+                audit_usage,
             } = c;
+            flops += train_usage.flops + audit_usage.flops;
             let envelope_bytes = envelope.len();
             let version = registry.enroll_envelope(user_id, envelope);
             let outcome = JobOutcome {
@@ -307,8 +311,8 @@ impl FleetTrainer {
                 gate,
                 fit,
                 enroll_latency: started.elapsed(),
-                train_simulated,
-                audit_simulated,
+                train_simulated: train_usage.simulated,
+                audit_simulated: audit_usage.simulated,
                 envelope_bytes,
             };
             outcomes[index] = Some(outcome);
@@ -335,7 +339,7 @@ impl FleetTrainer {
                         .enumerate()
                         .map(|(off, (job, (candidate, fit, train_usage)))| {
                             let ((published, gate), audit_usage) =
-                                measure_thread(ComputeTier::Device, || {
+                                measure(ComputeTier::Device, || {
                                     self.gate.admit(candidate, space, &job.subject)
                                 });
                             Candidate {
@@ -346,8 +350,8 @@ impl FleetTrainer {
                                 fit,
                                 warm: job.is_warm(),
                                 started,
-                                train_simulated: train_usage.simulated,
-                                audit_simulated: audit_usage.simulated,
+                                train_usage,
+                                audit_usage,
                             }
                         })
                         .collect::<Vec<Candidate>>()
@@ -365,14 +369,12 @@ impl FleetTrainer {
                     // worker, so its simulated device cost is exact and
                     // bit-identical for any pool width — the input the
                     // network simulation replays.
-                    let ((candidate, fit), train_usage) =
-                        measure_thread(ComputeTier::Device, || {
-                            self.train_candidate(&general_envelope, job)
-                        });
-                    let ((published, gate), audit_usage) =
-                        measure_thread(ComputeTier::Device, || {
-                            self.gate.admit(candidate, space, &job.subject)
-                        });
+                    let ((candidate, fit), train_usage) = measure(ComputeTier::Device, || {
+                        self.train_candidate(&general_envelope, job)
+                    });
+                    let ((published, gate), audit_usage) = measure(ComputeTier::Device, || {
+                        self.gate.admit(candidate, space, &job.subject)
+                    });
                     Candidate {
                         index,
                         user_id: job.user_id,
@@ -381,8 +383,8 @@ impl FleetTrainer {
                         fit,
                         warm: job.is_warm(),
                         started,
-                        train_simulated: train_usage.simulated,
-                        audit_simulated: audit_usage.simulated,
+                        train_usage,
+                        audit_usage,
                     }
                 },
                 &mut publish,
@@ -396,7 +398,7 @@ impl FleetTrainer {
                 .map(|o| o.expect("every job was trained, audited and published"))
                 .collect(),
             wall.elapsed(),
-            flop_guard.stop(),
+            flops,
         )
     }
 }
@@ -420,8 +422,11 @@ mod tests {
     use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
     use pelican_nn::TrainConfig;
     use pelican_serve::RegistryConfig;
+    use pelican_tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn tiny_setting() -> (SequenceModel, pelican_mobility::MobilityDataset, Vec<TrainJob>) {
         let dataset = DatasetBuilder::new(CampusConfig::for_scale(Scale::Tiny), 13)
@@ -437,6 +442,25 @@ mod tests {
         let n = dataset.users.len();
         let jobs = cohort_jobs(&dataset, (n - 2)..n, 0.8);
         (general, dataset, jobs)
+    }
+
+    /// Runs `f` while a helper thread spins `Matrix::matmul` until `f`
+    /// returns.
+    fn with_noisy_neighbour<T>(f: impl FnOnce() -> T) -> T {
+        let stop = Arc::new(AtomicBool::new(false));
+        let neighbour = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let m = Matrix::zeros(32, 32);
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = m.matmul(&m);
+                }
+            })
+        };
+        let out = f();
+        stop.store(true, Ordering::Relaxed);
+        neighbour.join().expect("neighbour thread");
+        out
     }
 
     fn fast_config(workers: usize) -> PipelineConfig {
@@ -468,6 +492,17 @@ mod tests {
             assert!(outcome.fit.steps > 0);
         }
         assert!(report.flops > 0);
+    }
+
+    #[test]
+    fn run_flops_ignore_concurrent_arithmetic() {
+        let (general, dataset, jobs) = tiny_setting();
+        let run = || {
+            let registry = ShardedRegistry::new(general.clone(), RegistryConfig::default());
+            run_pipeline(fast_config(2), &general, &dataset.space, &jobs, &registry).flops
+        };
+        let quiet = run();
+        assert_eq!(with_noisy_neighbour(run), quiet, "another thread's FLOPs leaked into the run");
     }
 
     #[test]
@@ -524,9 +559,8 @@ mod tests {
         let general_envelope = ModelEnvelope::encode(&general);
         let lockstep = trainer.train_candidates_lockstep(&general_envelope, &warm_jobs);
         for (job, (model, fit, usage)) in warm_jobs.iter().zip(lockstep) {
-            let ((seq_model, seq_fit), seq_usage) = measure_thread(ComputeTier::Device, || {
-                trainer.train_candidate(&general_envelope, job)
-            });
+            let ((seq_model, seq_fit), seq_usage) =
+                measure(ComputeTier::Device, || trainer.train_candidate(&general_envelope, job));
             assert_eq!(ModelEnvelope::encode(&seq_model), ModelEnvelope::encode(&model));
             assert_eq!(seq_fit, fit);
             assert_eq!(seq_usage.flops, usage.flops, "warm-start FLOP parity");
